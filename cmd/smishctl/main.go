@@ -73,7 +73,7 @@ func run() error {
 	telemetry := flag.Bool("telemetry", false, "print per-stage spans and per-service client metrics after the report")
 	cache := flag.Bool("cache", true, "coalesce and cache enrichment lookups (singleflight + TTL/LRU + negative caching)")
 	cacheStats := flag.Bool("cache-stats", false, "print per-service cache hit/miss/coalesced counts after the report")
-	batch := flag.Bool("batch", false, "coalesce cache misses into windowed bulk requests (HLR, passive DNS, URL scans)")
+	batch := flag.Bool("batch", false, "coalesce cache misses into self-clocked bulk requests (HLR, passive DNS, URL scans)")
 	batchStats := flag.Bool("batch-stats", false, "print per-service batching flush/coalesced counts after the report")
 	chaos := flag.Float64("chaos", 0, "inject faults into this fraction of service calls (0 disables; seeded by -seed) and enable circuit breakers")
 	serve := flag.Bool("serve", false, "run as a long-lived daemon: poll the forums incrementally and keep the report projection current (implies -stream)")

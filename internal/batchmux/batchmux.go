@@ -1,4 +1,4 @@
-// Package batchmux is the windowed batching/coalescing tier between the
+// Package batchmux is the self-clocking batching/coalescing tier between the
 // enrichment cache and the fault layer: pipeline → breaker → cache →
 // batchmux → faults → client. The paper's 27.7k messages collapse onto a
 // few hundred domains, shorteners, and sender prefixes (Tables 5–8), so
@@ -8,9 +8,12 @@
 // Per batchable lookup (HLR MSISDNs, VirusTotal scans, passive-DNS
 // resolutions, GSB status) it provides:
 //
-//   - windowed accumulation: concurrent single-key calls park in a
-//     per-service window that flushes as one bulk request when it reaches
-//     Window distinct keys or FlushInterval elapses, whichever is first;
+//   - self-clocking accumulation: a key that finds no flush of its key
+//     space in flight goes upstream at once; keys that arrive during a
+//     flight park in one pending window, sent the moment the flight
+//     lands, so batch size follows upstream latency instead of a timer.
+//     A window that reaches Window distinct keys goes out at once, even
+//     mid-flight;
 //   - singleflight dedup inside the window: identical keys share one
 //     slot and one answer;
 //   - per-key error demultiplexing: the bulk transports carry one error
@@ -39,38 +42,33 @@ import (
 // Config tunes the mux. The zero value is usable: every field falls back
 // to the documented default.
 type Config struct {
-	// Window flushes a service's pending keys once this many distinct
-	// keys have accumulated (default 32).
+	// Window caps one flush: keys parked behind an in-flight flush go
+	// out at once when this many distinct keys have accumulated, without
+	// waiting for the flight to land (default 32).
 	Window int
-	// FlushInterval flushes a partial window this long after its first
-	// key arrived, so stragglers never wait on a window that no one else
-	// will fill (default 5ms).
-	FlushInterval time.Duration
 	// BatchTimeout bounds each bulk call. The call runs under a detached
 	// context because its waiters span many records — one record's
 	// cancellation must not void everyone else's answers (default 30s).
+	// A hung flight holds back its key space's pending window until this
+	// fires; the waiting callers leave earlier on their own contexts.
 	BatchTimeout time.Duration
 	// MaxInFlight caps concurrent bulk calls across all services, keeping
 	// a burst of flushes from stampeding the backends (default 4).
 	MaxInFlight int
-	// PerService overrides Window/FlushInterval for one service, keyed by
-	// the service names used in telemetry: hlr, dnsdb, avscan.
+	// PerService overrides Window for one service, keyed by the service
+	// names used in telemetry: hlr, dnsdb, avscan.
 	PerService map[string]ServiceConfig
 }
 
 // ServiceConfig overrides batching bounds for a single service. Zero
 // fields inherit the Config-level value.
 type ServiceConfig struct {
-	Window        int
-	FlushInterval time.Duration
+	Window int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 32
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 5 * time.Millisecond
 	}
 	if c.BatchTimeout == 0 {
 		c.BatchTimeout = 30 * time.Second
@@ -86,9 +84,6 @@ func (c Config) forService(name string) ServiceConfig {
 	sc := c.PerService[name]
 	if sc.Window == 0 {
 		sc.Window = c.Window
-	}
-	if sc.FlushInterval == 0 {
-		sc.FlushInterval = c.FlushInterval
 	}
 	return sc
 }
@@ -130,41 +125,38 @@ type window[V any] struct {
 // batcher coalesces single-key gets over one key space into bulk calls.
 // Safe for concurrent use.
 type batcher[V any] struct {
-	bulk     func(ctx context.Context, keys []string) ([]V, []error)
-	window   int
-	interval time.Duration
-	timeout  time.Duration
-	sem      chan struct{} // shared MaxInFlight cap; nil disables
-	met      *metrics
+	bulk    func(ctx context.Context, keys []string) ([]V, []error)
+	window  int
+	timeout time.Duration
+	sem     chan struct{} // shared MaxInFlight cap; nil disables
+	met     *metrics
 
-	mu  sync.Mutex
-	cur *window[V]
+	mu      sync.Mutex
+	pending *window[V] // keys parked behind a flight; non-nil only while flights > 0
+	flights int        // flushes of this key space sent and not yet landed
 }
 
 func newBatcher[V any](sc ServiceConfig, timeout time.Duration, sem chan struct{}, met *metrics,
 	bulk func(ctx context.Context, keys []string) ([]V, []error)) *batcher[V] {
 	return &batcher[V]{
-		bulk:     bulk,
-		window:   sc.Window,
-		interval: sc.FlushInterval,
-		timeout:  timeout,
-		sem:      sem,
-		met:      met,
+		bulk:    bulk,
+		window:  sc.Window,
+		timeout: timeout,
+		sem:     sem,
+		met:     met,
 	}
 }
 
-// get parks the key in the current window and waits for its flush. The
-// caller that completes the window runs the flush inline (it was going to
-// wait anyway); partial windows are flushed by the interval timer armed
-// when their first key arrives — essential, because a window's waiters
-// may be fewer than its size, and nobody else would ever flush it.
+// get parks the key in the pending window and waits for its flush. The
+// window is sent at once when no flight of this key space is in the air
+// or when it is full; otherwise the flight that lands next sends it.
+// Flights run on their own goroutine so every caller can leave on ctx.
 func (b *batcher[V]) get(ctx context.Context, key string) (V, error) {
 	b.mu.Lock()
-	w := b.cur
+	w := b.pending
 	if w == nil {
-		w = &window[V]{index: make(map[string]int, b.window), done: make(chan struct{})}
-		b.cur = w
-		time.AfterFunc(b.interval, func() { b.flushIfCurrent(w) })
+		w = &window[V]{index: make(map[string]int), done: make(chan struct{})}
+		b.pending = w
 	}
 	i, ok := w.index[key]
 	if !ok {
@@ -174,13 +166,12 @@ func (b *batcher[V]) get(ctx context.Context, key string) (V, error) {
 	} else {
 		b.met.coalesced.Inc()
 	}
-	if len(w.keys) >= b.window {
-		b.cur = nil
-		b.mu.Unlock()
-		b.flush(w)
-	} else {
-		b.mu.Unlock()
+	if b.flights == 0 || len(w.keys) >= b.window {
+		b.pending = nil
+		b.flights++
+		go b.fly(w)
 	}
+	b.mu.Unlock()
 
 	select {
 	case <-w.done:
@@ -195,18 +186,19 @@ func (b *batcher[V]) get(ctx context.Context, key string) (V, error) {
 	return w.vals[i], nil
 }
 
-// flushIfCurrent is the timer path: a window that already flushed on size
-// was detached from b.cur, so the generation check makes the timer a
-// no-op for it.
-func (b *batcher[V]) flushIfCurrent(w *window[V]) {
-	b.mu.Lock()
-	if b.cur != w {
+// fly flushes w, then sends whatever window parked during the flight as
+// the next one, until a flight lands with nothing pending. Each flight is
+// bounded by BatchTimeout, so the goroutine always exits.
+func (b *batcher[V]) fly(w *window[V]) {
+	for w != nil {
+		b.flush(w)
+		b.mu.Lock()
+		w, b.pending = b.pending, nil
+		if w == nil {
+			b.flights--
+		}
 		b.mu.Unlock()
-		return
 	}
-	b.cur = nil
-	b.mu.Unlock()
-	b.flush(w)
 }
 
 func (b *batcher[V]) flush(w *window[V]) {

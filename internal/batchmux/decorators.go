@@ -11,7 +11,7 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// Mux is one shared batching tier: a per-service set of windowed batchers
+// Mux is one shared batching tier: a per-service set of self-clocking batchers
 // that decorate the core.Services seam. Build one per study and attach it
 // with WrapServices.
 type Mux struct {

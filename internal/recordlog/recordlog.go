@@ -39,6 +39,8 @@
 package recordlog
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -551,16 +553,12 @@ func (l *Log) snapshotLocked(now time.Time) error {
 		Records: l.records,
 		Totals:  l.totals,
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("recordlog: encode snapshot: %w", err)
-	}
 	final := filepath.Join(l.cfg.Dir, snapshotName)
 	tmp, err := os.CreateTemp(l.cfg.Dir, ".snapshot.tmp-*")
 	if err != nil {
 		return fmt.Errorf("recordlog: snapshot temp file: %w", err)
 	}
-	_, werr := tmp.Write(data)
+	n, werr := writeSnapshot(tmp, snap)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
@@ -577,9 +575,58 @@ func (l *Log) snapshotLocked(now time.Time) error {
 	l.lastSnap = now
 	l.stats.Snapshots++
 	l.stats.LastSnapshot = snap.SavedAt
-	l.stats.SnapshotBytes = int64(len(data))
+	l.stats.SnapshotBytes = n
 	l.ctr.snapshots.Inc()
 	return nil
+}
+
+// writeSnapshot writes exactly the bytes json.Marshal(snap) would, but
+// encodes one record at a time: a snapshot holds every record, and
+// marshalling it whole would briefly cost several times its size in
+// memory on every compaction. It returns the bytes written.
+func writeSnapshot(w io.Writer, snap snapshot) (int64, error) {
+	records := snap.Records
+	snap.Records = nil
+	envelope, err := json.Marshal(snap)
+	if err != nil {
+		return 0, fmt.Errorf("recordlog: encode snapshot: %w", err)
+	}
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	head, tail, _ := bytes.Cut(envelope, []byte(`"records":null`))
+	bw.Write(head)
+	if records == nil {
+		bw.WriteString(`"records":null`)
+	} else {
+		bw.WriteString(`"records":[`)
+		for i := range records {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			rec, err := json.Marshal(&records[i])
+			if err != nil {
+				return cw.n, fmt.Errorf("recordlog: encode snapshot record %s: %w", records[i].ID, err)
+			}
+			bw.Write(rec)
+		}
+		bw.WriteByte(']')
+	}
+	bw.Write(tail)
+	// bufio.Writer keeps the first write error and returns it from Flush.
+	err = bw.Flush()
+	return cw.n, err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // compactLocked snapshots then truncates the log. The snapshot lands

@@ -1,6 +1,7 @@
 package recordlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -454,5 +455,43 @@ func TestCloseSnapshotsDirtyState(t *testing.T) {
 	defer l2.Close()
 	if got := ids(l2.Dataset()); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("after Close+reopen, IDs = %v", got)
+	}
+}
+
+// TestWriteSnapshotMatchesMarshal pins the streamed snapshot encoding to
+// json.Marshal byte for byte, with and without records and injects, and
+// checks the byte count it reports.
+func TestWriteSnapshotMatchesMarshal(t *testing.T) {
+	full := snapshot{
+		Seq:     7,
+		SavedAt: time.Date(2026, 8, 2, 9, 30, 0, 0, time.UTC),
+		Injects: []core.InjectSpec{{Seed: 3, Messages: 25, Forums: []string{"twitter"}}},
+		Records: []core.Record{testRecord("a"), testRecord("b<&>"), testRecord("c")},
+		Totals: totals{
+			PostsByForum:   map[corpus.Forum]int{corpus.ForumTwitter: 4},
+			DecoysRejected: 1,
+		},
+	}
+	for name, snap := range map[string]snapshot{
+		"full":       full,
+		"no injects": {Seq: 1, Records: full.Records[:1]},
+		"empty":      {Seq: 2, Records: []core.Record{}},
+		"nil":        {Seq: 3},
+	} {
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		n, err := writeSnapshot(&buf, snap)
+		if err != nil {
+			t.Fatalf("%s: writeSnapshot: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: streamed snapshot differs from json.Marshal:\n got %s\nwant %s", name, buf.Bytes(), want)
+		}
+		if n != int64(len(want)) {
+			t.Errorf("%s: writeSnapshot reported %d bytes, wrote %d", name, n, len(want))
+		}
 	}
 }

@@ -34,9 +34,11 @@ type QueryView struct {
 
 	// Union-find over cluster keys: "d:"+domain, "s:"+sender, "r:"+id for
 	// records with neither. minID tracks each root's smallest record ID —
-	// the campaign label source.
-	parent map[string]string
-	minID  map[string]string
+	// the campaign label source — and members its record count, so the
+	// summary never walks the records.
+	parent  map[string]string
+	minID   map[string]string
+	members map[string]int
 }
 
 // queryRec is the compact serving projection of one core.Record.
@@ -60,6 +62,7 @@ func NewQueryView() *QueryView {
 		bySender: make(map[string][]int),
 		parent:   make(map[string]string),
 		minID:    make(map[string]string),
+		members:  make(map[string]int),
 	}
 }
 
@@ -97,6 +100,7 @@ func (v *QueryView) Add(records []core.Record) {
 		for i := 1; i < len(keys); i++ {
 			v.unionLocked(keys[0], keys[i])
 		}
+		v.members[v.findLocked(keys[0])]++
 	}
 }
 
@@ -139,6 +143,10 @@ func (v *QueryView) unionLocked(a, b string) {
 			v.minID[ra] = id
 		}
 		delete(v.minID, rb)
+	}
+	if n, ok := v.members[rb]; ok {
+		v.members[ra] += n
+		delete(v.members, rb)
 	}
 }
 
@@ -247,9 +255,12 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 		}
 	}
 
-	var matched []queryRec
+	// Match on indexes and label only the page: copying and labelling
+	// every record would make an unfiltered first page cost O(records)
+	// allocations.
+	var matched []int
 	for _, i := range candidates {
-		r := v.recs[i]
+		r := &v.recs[i]
 		if q.Domain != "" && r.Domain != strings.ToLower(q.Domain) {
 			continue
 		}
@@ -262,8 +273,7 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 		if !q.Until.IsZero() && !r.PostedAt.Before(q.Until) {
 			continue
 		}
-		r.Campaign = v.campaignLocked(r)
-		if q.Campaign != "" && r.Campaign != q.Campaign {
+		if q.Campaign != "" && v.campaignLocked(*r) != q.Campaign {
 			continue
 		}
 		if !q.After.IsZero() {
@@ -276,25 +286,27 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 				continue
 			}
 		}
-		matched = append(matched, r)
+		matched = append(matched, i)
 	}
 	sort.Slice(matched, func(a, b int) bool {
-		if !matched[a].PostedAt.Equal(matched[b].PostedAt) {
-			return matched[a].PostedAt.Before(matched[b].PostedAt)
+		ra, rb := &v.recs[matched[a]], &v.recs[matched[b]]
+		if !ra.PostedAt.Equal(rb.PostedAt) {
+			return ra.PostedAt.Before(rb.PostedAt)
 		}
-		return matched[a].ID < matched[b].ID
+		return ra.ID < rb.ID
 	})
 	res := ReportsResult{TotalMatched: len(matched)}
 	if len(matched) > limit {
 		matched = matched[:limit]
-		last := matched[len(matched)-1]
+		last := v.recs[matched[len(matched)-1]]
 		res.NextCursor = Cursor{PostedAt: last.PostedAt, ID: last.ID}.Encode()
 	}
-	res.Reports = matched
-	res.Returned = len(matched)
-	if res.Reports == nil {
-		res.Reports = []queryRec{}
+	res.Reports = make([]queryRec, len(matched))
+	for j, i := range matched {
+		res.Reports[j] = v.recs[i]
+		res.Reports[j].Campaign = v.campaignLocked(v.recs[i])
 	}
+	res.Returned = len(matched)
 	return res
 }
 
@@ -337,9 +349,9 @@ func (v *QueryView) Summarize(top int) Summary {
 	s.TopDomains = topOf(v.byDomain, top)
 	s.TopSenders = topOf(v.bySender, top)
 
-	camps := make(map[string]int)
-	for _, r := range v.recs {
-		camps[v.campaignLocked(r)]++
+	camps := make(map[string]int, len(v.members))
+	for root, n := range v.members {
+		camps["c-"+v.minID[root]] = n
 	}
 	s.Campaigns = len(camps)
 	s.TopCampaigns = topOfCounts(camps, top)

@@ -3,6 +3,8 @@ package report
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -250,6 +252,47 @@ func TestQueryViewMergeOrderIndependence(t *testing.T) {
 	}
 	if strings.HasPrefix(got.Reports[0].Campaign, "c-c") {
 		t.Fatalf("unexpected campaign label %q", got.Reports[0].Campaign)
+	}
+}
+
+// TestQuerySummaryCampaignsMatchRecordWalk pins the incremental campaign
+// sizes against a walk that labels every record: random records over small
+// domain and sender pools, fed in random batch splits, so later records
+// keep merging earlier campaigns.
+func TestQuerySummaryCampaignsMatchRecordWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	v := NewQueryView()
+	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+	for n := 0; n < 600; {
+		var batch []core.Record
+		for size := 1 + rng.Intn(40); size > 0; size-- {
+			dom, snd := "", ""
+			if rng.Intn(4) > 0 {
+				dom = fmt.Sprintf("d%d.test", rng.Intn(120))
+			}
+			if rng.Intn(3) > 0 {
+				snd = fmt.Sprintf("+1555%07d", rng.Intn(150))
+			}
+			batch = append(batch, queryRecord(fmt.Sprintf("q%03d", n), dom, snd, base.Add(time.Duration(n)*time.Minute)))
+			n++
+		}
+		v.Add(batch)
+	}
+
+	want := map[string]int{}
+	v.mu.Lock()
+	for _, r := range v.recs {
+		want[v.campaignLocked(r)]++
+	}
+	v.mu.Unlock()
+	s := v.Summarize(len(want) + 1)
+	if s.Campaigns != len(want) || len(s.TopCampaigns) != len(want) {
+		t.Fatalf("summary has %d campaigns (%d rows), record walk has %d", s.Campaigns, len(s.TopCampaigns), len(want))
+	}
+	for _, row := range s.TopCampaigns {
+		if want[row.Name] != row.Count {
+			t.Errorf("campaign %s: summary counts %d records, record walk %d", row.Name, row.Count, want[row.Name])
+		}
 	}
 }
 

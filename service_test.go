@@ -357,6 +357,15 @@ func TestOptionsValidate(t *testing.T) {
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{Dir: "/tmp/x"},
 		}, ""},
+		{"negative batch window", Options{Batch: &BatchConfig{Window: -1}}, "Batch.Window"},
+		{"negative batch in-flight cap", Options{Batch: &BatchConfig{MaxInFlight: -1}}, "Batch.MaxInFlight"},
+		{"negative batch timeout", Options{Batch: &BatchConfig{BatchTimeout: -time.Second}}, "Batch.BatchTimeout"},
+		{"negative per-service batch window", Options{Batch: &BatchConfig{
+			PerService: map[string]BatchServiceConfig{"hlr": {Window: 8}, "avscan": {Window: -2}},
+		}}, `Batch.PerService["avscan"].Window`},
+		{"valid batch", Options{Batch: &BatchConfig{
+			Window: 8, MaxInFlight: 2, PerService: map[string]BatchServiceConfig{"hlr": {Window: 4}},
+		}}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -376,6 +385,9 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := NewStudy(Options{Service: &ServiceConfig{}}); err == nil {
 		t.Fatal("NewStudy accepted service mode without streaming")
+	}
+	if _, err := NewStudy(Options{Batch: &BatchConfig{MaxInFlight: -1}}); err == nil {
+		t.Fatal("NewStudy accepted a negative Batch.MaxInFlight")
 	}
 }
 

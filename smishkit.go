@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/batchmux"
@@ -98,9 +99,9 @@ type (
 	// stale/eviction counts plus the live entry count.
 	CacheServiceStats = enrichcache.ServiceStats
 
-	// BatchConfig tunes the windowed batching tier (Options.Batch): window
-	// size, partial-window flush interval, the detached bulk-call timeout,
-	// the cross-service in-flight cap, and per-service overrides.
+	// BatchConfig tunes the self-clocking batching tier (Options.Batch):
+	// the per-flush key cap, the detached bulk-call timeout, the
+	// cross-service in-flight cap, and per-service overrides.
 	// &BatchConfig{} selects the documented defaults.
 	BatchConfig = batchmux.Config
 	// BatchServiceConfig overrides the batching bounds of one service
@@ -203,15 +204,16 @@ type Options struct {
 	// the study's collector under "cache.<service>.*"; Study.CacheStats
 	// reads the same numbers as a typed snapshot.
 	Cache *CacheConfig
-	// Batch, when non-nil, inserts the windowed batching tier between the
-	// cache and the fault layer: cache misses for batchable services (HLR,
-	// passive DNS, the VT aggregate, GSB status) accumulate in per-service
-	// windows and flush as one bulk request on size or timer, with in-window
-	// dedup and per-key error demultiplexing. Services whose client has no
-	// bulk seam fall through to per-key calls, counted. Flush/batch-size/
-	// coalesced/fallthrough counters land in the collector under
-	// "batch.<service>.*"; Study.BatchStats reads the same numbers as a
-	// typed snapshot.
+	// Batch, when non-nil, inserts the self-clocking batching tier between
+	// the cache and the fault layer: a cache miss for a batchable service
+	// (HLR, passive DNS, the VT aggregate, GSB status) goes upstream at
+	// once when no bulk request of its service is in flight; misses that
+	// arrive during one park in a window sent as one bulk request when it
+	// lands (or at once when full), with in-window dedup and per-key error
+	// demultiplexing. Services whose client has no bulk seam fall through
+	// to per-key calls, counted. Flush/batch-size/coalesced/fallthrough
+	// counters land in the collector under "batch.<service>.*";
+	// Study.BatchStats reads the same numbers as a typed snapshot.
 	Batch *BatchConfig
 	// Faults, when non-nil, injects deterministic faults (errors, 429/5xx
 	// bursts, hangs, latency spikes, flapping windows) between the cache
@@ -375,6 +377,27 @@ func (o Options) Validate() error {
 		}
 		if d.CompactThreshold < 0 {
 			return fmt.Errorf("smishkit: Durability.CompactThreshold must not be negative (got %d; 0 selects the default)", d.CompactThreshold)
+		}
+	}
+	if b := o.Batch; b != nil {
+		if b.Window < 0 {
+			return fmt.Errorf("smishkit: Batch.Window must not be negative (got %d; 0 selects the default)", b.Window)
+		}
+		if b.MaxInFlight < 0 {
+			return fmt.Errorf("smishkit: Batch.MaxInFlight must not be negative (got %d; 0 selects the default)", b.MaxInFlight)
+		}
+		if b.BatchTimeout < 0 {
+			return fmt.Errorf("smishkit: Batch.BatchTimeout must not be negative (got %v; 0 selects the default)", b.BatchTimeout)
+		}
+		names := make([]string, 0, len(b.PerService))
+		for name := range b.PerService {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if w := b.PerService[name].Window; w < 0 {
+				return fmt.Errorf("smishkit: Batch.PerService[%q].Window must not be negative (got %d; 0 selects the default)", name, w)
+			}
 		}
 	}
 	return nil
