@@ -3,12 +3,10 @@ package forum
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"time"
+	"sync"
+	"sync/atomic"
 
 	"github.com/smishkit/smishkit/internal/corpus"
-	"github.com/smishkit/smishkit/internal/netutil"
 )
 
 // ctxType keeps collector signatures compact.
@@ -40,51 +38,48 @@ func CollectAll(ctx context.Context, collectors []Collector) ([]RawReport, map[c
 	return all, counts, nil
 }
 
-// fetchBytes downloads a raw resource (media, paste) relative to the
-// client's BaseURL, with the client's auth headers and bounded retries.
-func fetchBytes(ctx context.Context, api *netutil.Client, path string) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(time.Duration(attempt) * 50 * time.Millisecond):
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, api.BaseURL+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		if api.APIKey != "" {
-			req.Header.Set("X-Api-Key", api.APIKey)
-		}
-		for k, v := range api.Headers {
-			req.Header.Set(k, v)
-		}
-		client := api.HTTPClient
-		if client == nil {
-			client = &http.Client{Timeout: 10 * time.Second}
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, readErr := io.ReadAll(io.LimitReader(resp.Body, 10<<20))
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK && readErr == nil:
-			return data, nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			lastErr = fmt.Errorf("status %d", resp.StatusCode)
-			continue
-		default:
-			if readErr != nil {
-				return nil, readErr
-			}
-			return nil, fmt.Errorf("forum: fetch %s: status %d", path, resp.StatusCode)
-		}
+// mediaWidth is how many downloads one page of results keeps in flight.
+const mediaWidth = 8
+
+// fetched is one prefetched download; done closes once data/err are set.
+type fetched struct {
+	data []byte
+	err  error
+	done chan struct{}
+}
+
+// prefetch runs fetch(ctx, i) for every i in [0, n) on up to mediaWidth
+// goroutines, claiming indexes in ascending order so the earliest results
+// land first. The caller waits on each result's done channel in its own
+// order. stop cancels whatever is still outstanding and returns once every
+// goroutine has exited; it must be called exactly once.
+func prefetch(ctx context.Context, n int, fetch func(ctx context.Context, i int) ([]byte, error)) (results []fetched, stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	results = make([]fetched, n)
+	for i := range results {
+		results[i].done = make(chan struct{})
 	}
-	return nil, fmt.Errorf("forum: fetch %s failed: %w", path, lastErr)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(mediaWidth, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				r := &results[i]
+				if r.err = ctx.Err(); r.err == nil {
+					r.data, r.err = fetch(ctx, i)
+				}
+				close(r.done)
+			}
+		}()
+	}
+	return results, func() {
+		cancel()
+		wg.Wait()
+	}
 }

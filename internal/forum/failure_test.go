@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,21 +16,27 @@ import (
 )
 
 // flaky wraps a handler, failing a deterministic fraction of requests with
-// the given status before letting them through on retry.
+// the given status before letting them through on retry. A request fails
+// when the global count is a multiple of failEvery and its URI has not
+// failed yet, so a retry always gets through however concurrent requests
+// interleave; in serial order that is every failEvery-th request.
 type flaky struct {
 	next      http.Handler
 	status    int
 	failEvery int32 // every Nth request fails
 	counter   atomic.Int32
 	failures  atomic.Int32
+	failed    sync.Map // request URI -> struct{}, once it has failed
 }
 
 func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := f.counter.Add(1)
 	if n%f.failEvery == 0 {
-		f.failures.Add(1)
-		netutil.WriteError(w, f.status, "injected failure")
-		return
+		if _, dup := f.failed.LoadOrStore(r.URL.RequestURI(), struct{}{}); !dup {
+			f.failures.Add(1)
+			netutil.WriteError(w, f.status, "injected failure")
+			return
+		}
 	}
 	f.next.ServeHTTP(w, r)
 }

@@ -53,3 +53,38 @@ type post struct {
 	Subreddit  string // reddit only
 	IsNoise    bool   // awareness/chatter, not a genuine report
 }
+
+// postIndex resolves post IDs to positions in a server's append-only post
+// slice, so per-ID requests (media, screenshots, since_id and after
+// cursors) cost a map lookup instead of a scan over every post ever
+// published. The first post with an ID wins; fixtures and rebased
+// injection waves never repeat one.
+type postIndex map[string]int
+
+// add indexes posts, which sit at positions base, base+1, ...
+func (x postIndex) add(posts []post, base int) {
+	for i := range posts {
+		if _, ok := x[posts[i].ID]; !ok {
+			x[posts[i].ID] = base + i
+		}
+	}
+}
+
+// after returns the position just past the post with this ID, or 0 when
+// no post has it (a cursor the server never issued restarts the walk).
+func (x postIndex) after(id string) int {
+	if i, ok := x[id]; ok {
+		return i + 1
+	}
+	return 0
+}
+
+// attachment returns the attachment of the post with this ID, if it has
+// one.
+func (x postIndex) attachment(posts []post, id string) ([]byte, bool) {
+	i, ok := x[id]
+	if !ok || len(posts[i].Attachment) == 0 {
+		return nil, false
+	}
+	return posts[i].Attachment, true
+}

@@ -22,6 +22,7 @@ import (
 type RedditServer struct {
 	mu      sync.RWMutex
 	posts   []post
+	index   postIndex
 	limiter *netutil.TokenBucket
 }
 
@@ -30,7 +31,8 @@ func NewRedditServer(posts []post, ratePerSec float64) *RedditServer {
 	sorted := make([]post, len(posts))
 	copy(sorted, posts)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	s := &RedditServer{posts: sorted}
+	s := &RedditServer{posts: sorted, index: postIndex{}}
+	s.index.add(sorted, 0)
 	if ratePerSec > 0 {
 		s.limiter = netutil.NewTokenBucket(int(ratePerSec*2)+1, ratePerSec)
 	}
@@ -45,6 +47,7 @@ func (s *RedditServer) Append(posts []post) {
 	copy(batch, posts)
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
 	s.mu.Lock()
+	s.index.add(batch, len(s.posts))
 	s.posts = append(s.posts, batch...)
 	s.mu.Unlock()
 }
@@ -102,19 +105,13 @@ func (s *RedditServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	start := 0
 	if after := r.URL.Query().Get("after"); after != "" {
-		id := strings.TrimPrefix(after, "t3_")
-		for i := range s.posts {
-			if s.posts[i].ID == id {
-				start = i + 1
-				break
-			}
-		}
+		start = s.index.after(strings.TrimPrefix(after, "t3_"))
 	}
 
 	listing := redditListing{Kind: "Listing"}
 	listing.Data.Children = []redditChild{}
 	for i := start; i < len(s.posts); i++ {
-		p := s.posts[i]
+		p := &s.posts[i]
 		if !strings.Contains(strings.ToLower(p.Body), q) {
 			continue
 		}
@@ -138,15 +135,12 @@ func (s *RedditServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *RedditServer) handleImage(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.posts {
-		if p.ID == id && len(p.Attachment) > 0 {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(p.Attachment)
-			return
-		}
+	if data, ok := s.index.attachment(s.posts, r.PathValue("id")); ok {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(data)
+		return
 	}
 	http.NotFound(w, r)
 }
@@ -230,7 +224,7 @@ func (c *RedditCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink 
 					Body:     p.SelfText,
 				}
 				if p.URL != "" {
-					data, err := fetchBytes(ctx, &c.API, p.URL)
+					data, err := c.API.GetBytes(ctx, p.URL)
 					if err != nil {
 						return cur, fmt.Errorf("forum: reddit image %s: %w", p.ID, err)
 					}

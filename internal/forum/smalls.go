@@ -26,6 +26,7 @@ func unixTime(sec float64) time.Time { return time.Unix(int64(sec), 0).UTC() }
 type SmishtankServer struct {
 	mu    sync.RWMutex
 	posts []post
+	index postIndex
 }
 
 // NewSmishtankServer seeds the server.
@@ -33,7 +34,9 @@ func NewSmishtankServer(posts []post) *SmishtankServer {
 	sorted := make([]post, len(posts))
 	copy(sorted, posts)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	return &SmishtankServer{posts: sorted}
+	s := &SmishtankServer{posts: sorted, index: postIndex{}}
+	s.index.add(sorted, 0)
+	return s
 }
 
 // Append publishes new submissions at the tail. Batches must be
@@ -43,6 +46,7 @@ func (s *SmishtankServer) Append(posts []post) {
 	copy(batch, posts)
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
 	s.mu.Lock()
+	s.index.add(batch, len(s.posts))
 	s.posts = append(s.posts, batch...)
 	s.mu.Unlock()
 }
@@ -78,7 +82,7 @@ func (s *SmishtankServer) Handler() http.Handler {
 		}
 		page := smishtankPage{Total: len(s.posts), Offset: offset, Submissions: []smishtankSubmission{}}
 		for i := offset; i < len(s.posts) && len(page.Submissions) < limit; i++ {
-			p := s.posts[i]
+			p := &s.posts[i]
 			sub := smishtankSubmission{
 				ID:        p.ID,
 				Submitted: p.CreatedAt.Format(time.RFC3339),
@@ -94,14 +98,11 @@ func (s *SmishtankServer) Handler() http.Handler {
 		netutil.WriteJSON(w, http.StatusOK, page)
 	})
 	mux.HandleFunc("GET /screenshots/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		for _, p := range s.posts {
-			if p.ID == id && len(p.Attachment) > 0 {
-				_, _ = w.Write(p.Attachment)
-				return
-			}
+		if data, ok := s.index.attachment(s.posts, r.PathValue("id")); ok {
+			_, _ = w.Write(data)
+			return
 		}
 		http.NotFound(w, r)
 	})
@@ -150,7 +151,7 @@ func (c *SmishtankCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, si
 				Timestamp: sub.Timestamp,
 			}
 			if sub.Screenshot != "" {
-				data, err := fetchBytes(ctx, &c.API, sub.Screenshot)
+				data, err := c.API.GetBytes(ctx, sub.Screenshot)
 				if err != nil {
 					return cur, fmt.Errorf("forum: smishtank screenshot %s: %w", sub.ID, err)
 				}
@@ -275,7 +276,7 @@ func (c *SmishingEUCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, s
 	for {
 		page := offset/smishingEUPageSize + 1
 		skip := offset % smishingEUPageSize
-		body, err := fetchBytes(ctx, &c.API, fmt.Sprintf("/reports?page=%d", page))
+		body, err := c.API.GetBytes(ctx, fmt.Sprintf("/reports?page=%d", page))
 		if err != nil {
 			return cur, fmt.Errorf("forum: smishing.eu page %d: %w", page, err)
 		}
@@ -408,7 +409,7 @@ func (c *PastebinCollector) Collect(ctx ctxType, sink func(RawReport) error) err
 func (c *PastebinCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink func(RawReport) error) (checkpoint.Cursor, error) {
 	next := cur.Clone()
 	next.Source = "pastebin"
-	index, err := fetchBytes(ctx, &c.API, "/archive")
+	index, err := c.API.GetBytes(ctx, "/archive")
 	if err != nil {
 		return cur, fmt.Errorf("forum: pastebin archive: %w", err)
 	}
@@ -434,7 +435,7 @@ func (c *PastebinCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sin
 	}
 	last := cur.LastID
 	for _, id := range ids[start:] {
-		body, err := fetchBytes(ctx, &c.API, "/raw/"+id)
+		body, err := c.API.GetBytes(ctx, "/raw/"+id)
 		if err != nil {
 			return cur, fmt.Errorf("forum: pastebin paste %s: %w", id, err)
 		}

@@ -23,6 +23,7 @@ import (
 type TwitterServer struct {
 	mu      sync.RWMutex
 	posts   []post // sorted by CreatedAt; Append only adds at the tail
+	index   postIndex
 	bearer  string
 	limiter *netutil.TokenBucket
 }
@@ -32,7 +33,8 @@ func NewTwitterServer(posts []post, bearer string, ratePerSec float64) *TwitterS
 	sorted := make([]post, len(posts))
 	copy(sorted, posts)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	s := &TwitterServer{posts: sorted, bearer: bearer}
+	s := &TwitterServer{posts: sorted, index: postIndex{}, bearer: bearer}
+	s.index.add(sorted, 0)
 	if ratePerSec > 0 {
 		s.limiter = netutil.NewTokenBucket(int(ratePerSec*2)+1, ratePerSec)
 	}
@@ -48,6 +50,7 @@ func (s *TwitterServer) Append(posts []post) {
 	copy(batch, posts)
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
 	s.mu.Lock()
+	s.index.add(batch, len(s.posts))
 	s.posts = append(s.posts, batch...)
 	s.mu.Unlock()
 }
@@ -126,12 +129,7 @@ func (s *TwitterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// incremental-sync contract. Position-based: posts are append-only in
 	// chronological order, so "after this ID" is "after its index".
 	if sid := r.URL.Query().Get("since_id"); sid != "" {
-		for i := range s.posts {
-			if s.posts[i].ID == sid {
-				start = i + 1
-				break
-			}
-		}
+		start = s.index.after(sid)
 	}
 	if tok := r.URL.Query().Get("next_token"); tok != "" {
 		n, err := strconv.Atoi(strings.TrimPrefix(tok, "pg-"))
@@ -148,7 +146,7 @@ func (s *TwitterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp.Data = []tweetObject{} // v2 returns an empty array, not null
 	matched := 0
 	for i := start; i < len(s.posts); i++ {
-		p := s.posts[i]
+		p := &s.posts[i]
 		if !strings.Contains(strings.ToLower(p.Body), query) {
 			continue
 		}
@@ -181,12 +179,10 @@ func (s *TwitterServer) handleMedia(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.PathValue("key"), "m-")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.posts {
-		if p.ID == key && len(p.Attachment) > 0 {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(p.Attachment)
-			return
-		}
+	if data, ok := s.index.attachment(s.posts, key); ok {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(data)
+		return
 	}
 	http.NotFound(w, r)
 }
@@ -248,38 +244,13 @@ func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink
 			if err := c.API.GetJSON(ctx, path, &resp); err != nil {
 				return cur, fmt.Errorf("forum: twitter search %q: %w", kw, err)
 			}
-			mediaByKey := make(map[string]string, len(resp.Includes.Media))
-			for _, m := range resp.Includes.Media {
-				mediaByKey[m.MediaKey] = m.URL
+			if err := c.sinkPage(ctx, &resp, seen, sink); err != nil {
+				return cur, err
 			}
-			for _, tw := range resp.Data {
-				// Results arrive oldest-first, so the last tweet of the last
-				// page is the keyword's new high-water mark.
-				newest = tw.ID
-				if seen[tw.ID] {
-					continue
-				}
-				seen[tw.ID] = true
-				rep := RawReport{
-					Forum:    corpus.ForumTwitter,
-					PostID:   tw.ID,
-					PostedAt: tw.CreatedAt,
-					Body:     tw.Text,
-				}
-				if tw.Attachments != nil {
-					for _, key := range tw.Attachments.MediaKeys {
-						if url, ok := mediaByKey[key]; ok {
-							data, err := c.fetchMedia(ctx, url)
-							if err != nil {
-								return cur, fmt.Errorf("forum: twitter media %s: %w", key, err)
-							}
-							rep.Attachment = data
-						}
-					}
-				}
-				if err := sink(rep); err != nil {
-					return cur, err
-				}
+			// Results arrive oldest-first, so the last tweet of the last
+			// page is the keyword's new high-water mark.
+			if n := len(resp.Data); n > 0 {
+				newest = resp.Data[n-1].ID
 			}
 			if resp.Meta.NextToken == "" {
 				break
@@ -294,6 +265,78 @@ func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink
 	return next, nil
 }
 
-func (c *TwitterCollector) fetchMedia(ctx ctxType, path string) ([]byte, error) {
-	return fetchBytes(ctx, &c.API, path)
+// pendingTweet is one deduplicated report of a search page awaiting its
+// media: keys are the media keys with a URL in the page's includes.
+type pendingTweet struct {
+	rep  RawReport
+	keys []string
+}
+
+// sinkPage turns one search page into reports, skipping tweets an earlier
+// page or keyword already yielded. The page's media downloads run
+// mediaWidth at a time while the reports go to sink in page order; a
+// download error fails the page with the earliest failing report's error,
+// after the reports before it were sunk, exactly as a serial sweep would.
+func (c *TwitterCollector) sinkPage(ctx ctxType, resp *searchResponse, seen map[string]bool, sink func(RawReport) error) error {
+	mediaByKey := make(map[string]string, len(resp.Includes.Media))
+	for _, m := range resp.Includes.Media {
+		mediaByKey[m.MediaKey] = m.URL
+	}
+	var page []pendingTweet
+	var withMedia []int // indexes into page, in page order
+	for _, tw := range resp.Data {
+		if seen[tw.ID] {
+			continue
+		}
+		seen[tw.ID] = true
+		pt := pendingTweet{rep: RawReport{
+			Forum:    corpus.ForumTwitter,
+			PostID:   tw.ID,
+			PostedAt: tw.CreatedAt,
+			Body:     tw.Text,
+		}}
+		if tw.Attachments != nil {
+			for _, key := range tw.Attachments.MediaKeys {
+				if _, ok := mediaByKey[key]; ok {
+					pt.keys = append(pt.keys, key)
+				}
+			}
+		}
+		if len(pt.keys) > 0 {
+			withMedia = append(withMedia, len(page))
+		}
+		page = append(page, pt)
+	}
+
+	media, stop := prefetch(ctx, len(withMedia), func(ctx ctxType, j int) ([]byte, error) {
+		// A tweet with several media keys keeps its last one's bytes.
+		var data []byte
+		for _, key := range page[withMedia[j]].keys {
+			var err error
+			if data, err = c.API.GetBytes(ctx, mediaByKey[key]); err != nil {
+				return nil, fmt.Errorf("forum: twitter media %s: %w", key, err)
+			}
+		}
+		return data, nil
+	})
+	defer stop()
+	j := 0
+	for i := range page {
+		if j < len(withMedia) && withMedia[j] == i {
+			m := &media[j]
+			j++
+			<-m.done
+			if m.err != nil {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				return m.err
+			}
+			page[i].rep.Attachment = m.data
+		}
+		if err := sink(page[i].rep); err != nil {
+			return err
+		}
+	}
+	return nil
 }

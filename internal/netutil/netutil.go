@@ -1,8 +1,9 @@
 // Package netutil holds the small HTTP plumbing shared by every simulated
 // third-party service (HLR, WHOIS, CT log, passive DNS, AV scanners,
 // shorteners) and their clients: a token-bucket rate limiter, JSON
-// request/response helpers, and a retrying JSON client with exponential
-// backoff honoring Retry-After.
+// request/response helpers, a retrying client with exponential backoff
+// honoring Retry-After, and the one keep-alive connection pool every
+// client in the process shares.
 package netutil
 
 import (
@@ -106,11 +107,36 @@ func WriteRateLimited(w http.ResponseWriter, after time.Duration) {
 	WriteError(w, http.StatusTooManyRequests, "rate limit exceeded")
 }
 
-// Client is a minimal retrying JSON API client.
+// idleConnsPerHost is how many idle keep-alive connections the shared
+// pool keeps per upstream host. One service sees up to EnrichWorkers ×
+// StepWorkers concurrent calls (8 × 4 by default, more when raised);
+// net/http's default of 2 would re-dial most of them.
+const idleConnsPerHost = 64
+
+// transport is the process-wide connection pool: DefaultTransport's
+// dialer, timeouts and HTTP/2 settings, with a per-host idle pool sized
+// for the enrichment fan-out and no cap across hosts.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return t
+}()
+
+// defaultClient is what a Client without its own HTTPClient sends through.
+var defaultClient = NewHTTPClient(10 * time.Second)
+
+// NewHTTPClient returns a client on the shared pool with the given
+// overall request timeout (0 means none).
+func NewHTTPClient(timeout time.Duration) *http.Client {
+	return &http.Client{Transport: transport, Timeout: timeout}
+}
+
+// Client is a minimal retrying API client for JSON and raw-byte resources.
 type Client struct {
 	BaseURL    string
 	APIKey     string       // sent as X-Api-Key when non-empty
-	HTTPClient *http.Client // defaults to a 10s-timeout client
+	HTTPClient *http.Client // defaults to a 10s-timeout client on the shared pool
 	// MaxRetries caps retries on 429/5xx/transport errors: 0 means the
 	// default of 3; any negative value disables retrying entirely (the
 	// first response, whatever it is, is final).
@@ -165,7 +191,7 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 10 * time.Second}
+	return defaultClient
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -188,6 +214,15 @@ func (c *Client) GetJSON(ctx context.Context, path string, out any) error {
 	return c.do(ctx, http.MethodGet, path, nil, out)
 }
 
+// GetBytes fetches path (relative to BaseURL) and returns the raw body —
+// media, screenshots, pastes, HTML pages — under the same retry policy,
+// Retry-After handling and metrics as GetJSON.
+func (c *Client) GetBytes(ctx context.Context, path string) ([]byte, error) {
+	var data []byte
+	err := c.do(ctx, http.MethodGet, path, nil, &data)
+	return data, err
+}
+
 // PostJSON sends body as JSON and decodes the response into out.
 func (c *Client) PostJSON(ctx context.Context, path string, body, out any) error {
 	var buf []byte
@@ -201,22 +236,37 @@ func (c *Client) PostJSON(ctx context.Context, path string, body, out any) error
 	return c.do(ctx, http.MethodPost, path, buf, out)
 }
 
+// do runs one request through doRetry and stores the 2xx body in out: a
+// *[]byte receives the raw bytes, anything else non-nil is JSON-decoded.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	m := c.Metrics
-	if m == nil {
-		return c.doRetry(ctx, method, path, body, out, nil)
+	var start time.Time
+	if m != nil {
+		m.Calls.Inc()
+		start = time.Now()
 	}
-	m.Calls.Inc()
-	start := time.Now()
-	err := c.doRetry(ctx, method, path, body, out, m)
-	m.Latency.Observe(time.Since(start))
-	if err != nil {
-		m.Errors.Inc()
+	data, err := c.doRetry(ctx, method, path, body, m)
+	if err == nil {
+		switch out := out.(type) {
+		case nil:
+		case *[]byte:
+			*out = data
+		default:
+			if uerr := json.Unmarshal(data, out); uerr != nil {
+				err = fmt.Errorf("netutil: decode response: %w", uerr)
+			}
+		}
+	}
+	if m != nil {
+		m.Latency.Observe(time.Since(start))
+		if err != nil {
+			m.Errors.Inc()
+		}
 	}
 	return err
 }
 
-func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, out any, m *telemetry.ClientMetrics) error {
+func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, m *telemetry.ClientMetrics) ([]byte, error) {
 	retries := c.MaxRetries
 	switch {
 	case retries == 0:
@@ -245,7 +295,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 				d = retryAfter
 			}
 			if err := c.sleep(ctx, d); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		retryAfter = 0
@@ -255,7 +305,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 		if err != nil {
-			return fmt.Errorf("netutil: build request: %w", err)
+			return nil, fmt.Errorf("netutil: build request: %w", err)
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -279,13 +329,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 		}
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if out == nil {
-				return nil
-			}
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("netutil: decode response: %w", err)
-			}
-			return nil
+			return data, nil
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 			if m != nil && resp.StatusCode == http.StatusTooManyRequests {
 				m.RateLimited.Inc()
@@ -294,10 +338,10 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 			lastErr = &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
 			continue // retryable
 		default:
-			return &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
+			return nil, &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
 		}
 	}
-	return fmt.Errorf("netutil: %s %s failed after %d attempts: %w", method, path, retries+1, lastErr)
+	return nil, fmt.Errorf("netutil: %s %s failed after %d attempts: %w", method, path, retries+1, lastErr)
 }
 
 // parseRetryAfter interprets a Retry-After header value: delay-seconds

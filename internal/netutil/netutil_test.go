@@ -2,6 +2,7 @@ package netutil
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -389,5 +390,106 @@ func TestRequireKey(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("keyed status = %d", resp.StatusCode)
+	}
+}
+
+// TestGetBytesSharesRetryPolicy: raw downloads retry 429/5xx like GetJSON —
+// MaxRetries bounds the attempts, every backoff goes through Sleep, and
+// Retry-After dominates a smaller computed backoff — and return the body
+// byte for byte once a 2xx arrives.
+func TestGetBytesSharesRetryPolicy(t *testing.T) {
+	body := []byte("\x89PNG\x00raw\xffbytes")
+	var calls atomic.Int32
+	failFirst := int32(2)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= failFirst {
+			w.Header().Set("Retry-After", "5")
+			WriteError(w, http.StatusServiceUnavailable, "busy")
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(body)
+	}))
+	defer srv.Close()
+
+	var slept []time.Duration
+	c := &Client{
+		BaseURL:    srv.URL,
+		Backoff:    time.Millisecond,
+		MaxRetries: 2,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		},
+	}
+	got, err := c.GetBytes(context.Background(), "/media/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(body) {
+		t.Fatalf("body = %q, want %q", got, body)
+	}
+	if calls.Load() != 3 || len(slept) != 2 {
+		t.Fatalf("%d attempts and %d sleeps, want 3 and 2", calls.Load(), len(slept))
+	}
+	for _, d := range slept {
+		if d != 5*time.Second {
+			t.Errorf("slept %v, want 5s from Retry-After", d)
+		}
+	}
+
+	// One more failure than MaxRetries allows: the last status surfaces.
+	calls.Store(0)
+	failFirst = 3
+	slept = nil
+	if _, err := c.GetBytes(context.Background(), "/media/2"); !IsStatus(err, http.StatusServiceUnavailable) {
+		t.Fatalf("err = %v, want a 503 after exhausting retries", err)
+	}
+	if calls.Load() != 3 || len(slept) != 2 {
+		t.Fatalf("%d attempts and %d sleeps, want 3 and 2", calls.Load(), len(slept))
+	}
+}
+
+// TestSharedPoolReusesConnections: many concurrent calls to one host ride
+// the shared keep-alive pool instead of dialing per request, as a client
+// on net/http's default of 2 idle connections per host would.
+func TestSharedPoolReusesConnections(t *testing.T) {
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]int{"ok": 1})
+	}))
+	var dialed atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	const workers, each = idleConnsPerHost, 25
+	c := &Client{BaseURL: srv.URL}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.GetJSON(context.Background(), "/x", nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// At most workers requests are ever in flight; a few extra dials may
+	// race a connection on its way back to the pool.
+	if n := dialed.Load(); n > 2*workers {
+		t.Fatalf("%d calls dialed %d connections, want at most %d", workers*each, n, 2*workers)
 	}
 }

@@ -206,7 +206,8 @@ type Log struct {
 	size     int64
 	seq      uint64
 	seen     map[string]struct{}
-	records  []core.Record
+	batches  [][]core.Record // committed records, one slice per batch, never copied or regrown
+	nrecords int
 	totals   totals
 	injects  []core.InjectSpec
 	lastSnap time.Time
@@ -246,7 +247,7 @@ func Open(cfg Config, reg *telemetry.Registry) (*Log, error) {
 	if err := l.openAndReplay(); err != nil {
 		return nil, err
 	}
-	l.stats.Replayed = int64(len(l.records))
+	l.stats.Replayed = int64(l.nrecords)
 	l.ctr.replayed.Add(l.stats.Replayed)
 	l.ctr.logBytes.Set(l.size)
 	return l, nil
@@ -269,7 +270,9 @@ func (l *Log) loadSnapshot() error {
 		return fmt.Errorf("recordlog: decode snapshot %s: %w", path, err)
 	}
 	l.seq = snap.Seq
-	l.records = snap.Records
+	if snap.Records != nil {
+		l.addBatchLocked(snap.Records)
+	}
 	l.injects = snap.Injects
 	if snap.Totals.PostsByForum != nil || snap.Totals.ImagesByForum != nil ||
 		snap.Totals.DecoysRejected != 0 || snap.Totals.EmptyDropped != 0 {
@@ -350,12 +353,16 @@ func (l *Log) openAndReplay() error {
 				l.seq = fr.Seq
 			}
 			if fr.Seq > snapSeq {
+				var fresh []core.Record
 				for _, r := range fr.Records {
 					if _, dup := l.seen[r.ID]; dup {
 						continue
 					}
 					l.seen[r.ID] = struct{}{}
-					l.records = append(l.records, r)
+					fresh = append(fresh, r)
+				}
+				if len(fresh) > 0 {
+					l.addBatchLocked(fresh)
 				}
 				t := fr.Totals.clone()
 				lastTotals = &t
@@ -419,7 +426,9 @@ func (l *Log) openAndReplay() error {
 // replay. The returned dataset holds only the fresh records (plus the
 // batch's curation bookkeeping) and is what the caller should feed to the
 // live projection; it is empty when the whole batch was a replay, in which
-// case nothing is written.
+// case nothing is written. The log keeps the returned Records slice itself
+// as its copy of the batch, so neither the log nor the caller may modify
+// it afterwards; a projection that takes it over shares it read-only.
 func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -429,6 +438,16 @@ func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
 	fresh := &core.Dataset{
 		PostsByForum:  cloneForumMap(ds.PostsByForum),
 		ImagesByForum: cloneForumMap(ds.ImagesByForum),
+	}
+	nfresh := 0
+	for i := range ds.Records {
+		if _, dup := l.seen[ds.Records[i].ID]; !dup {
+			nfresh++
+		}
+	}
+	if nfresh > 0 {
+		// Sized exactly: this slice is the record's one long-lived copy.
+		fresh.Records = make([]core.Record, 0, nfresh)
 	}
 	for _, r := range ds.Records {
 		if _, dup := l.seen[r.ID]; dup {
@@ -479,11 +498,19 @@ func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
 	for _, r := range fresh.Records {
 		l.seen[r.ID] = struct{}{}
 	}
-	l.records = append(l.records, fresh.Records...)
+	if len(fresh.Records) > 0 {
+		l.addBatchLocked(fresh.Records)
+	}
 	if err := l.maybeSnapshotLocked(at); err != nil {
 		return nil, err
 	}
 	return fresh, nil
+}
+
+// addBatchLocked keeps one batch of committed records.
+func (l *Log) addBatchLocked(records []core.Record) {
+	l.batches = append(l.batches, records)
+	l.nrecords += len(records)
 }
 
 // AppendInject journals one injection so a restarted process can replay it
@@ -550,7 +577,6 @@ func (l *Log) snapshotLocked(now time.Time) error {
 		Seq:     l.seq,
 		SavedAt: now.UTC(),
 		Injects: l.injects,
-		Records: l.records,
 		Totals:  l.totals,
 	}
 	final := filepath.Join(l.cfg.Dir, snapshotName)
@@ -558,7 +584,7 @@ func (l *Log) snapshotLocked(now time.Time) error {
 	if err != nil {
 		return fmt.Errorf("recordlog: snapshot temp file: %w", err)
 	}
-	n, werr := writeSnapshot(tmp, snap)
+	n, werr := writeSnapshot(tmp, snap, l.batches)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
@@ -580,12 +606,12 @@ func (l *Log) snapshotLocked(now time.Time) error {
 	return nil
 }
 
-// writeSnapshot writes exactly the bytes json.Marshal(snap) would, but
-// encodes one record at a time: a snapshot holds every record, and
+// writeSnapshot writes exactly the bytes json.Marshal(snap) would with
+// snap.Records set to the concatenated batches (null when batches is nil),
+// but encodes one record at a time: a snapshot holds every record, and
 // marshalling it whole would briefly cost several times its size in
 // memory on every compaction. It returns the bytes written.
-func writeSnapshot(w io.Writer, snap snapshot) (int64, error) {
-	records := snap.Records
+func writeSnapshot(w io.Writer, snap snapshot, batches [][]core.Record) (int64, error) {
 	snap.Records = nil
 	envelope, err := json.Marshal(snap)
 	if err != nil {
@@ -595,19 +621,23 @@ func writeSnapshot(w io.Writer, snap snapshot) (int64, error) {
 	bw := bufio.NewWriter(cw)
 	head, tail, _ := bytes.Cut(envelope, []byte(`"records":null`))
 	bw.Write(head)
-	if records == nil {
+	if batches == nil {
 		bw.WriteString(`"records":null`)
 	} else {
 		bw.WriteString(`"records":[`)
-		for i := range records {
-			if i > 0 {
-				bw.WriteByte(',')
+		sep := false
+		for _, records := range batches {
+			for i := range records {
+				if sep {
+					bw.WriteByte(',')
+				}
+				sep = true
+				rec, err := json.Marshal(&records[i])
+				if err != nil {
+					return cw.n, fmt.Errorf("recordlog: encode snapshot record %s: %w", records[i].ID, err)
+				}
+				bw.Write(rec)
 			}
-			rec, err := json.Marshal(&records[i])
-			if err != nil {
-				return cw.n, fmt.Errorf("recordlog: encode snapshot record %s: %w", records[i].ID, err)
-			}
-			bw.Write(rec)
 		}
 		bw.WriteByte(']')
 	}
@@ -668,13 +698,15 @@ func (l *Log) Dataset() *core.Dataset {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := &core.Dataset{
-		Records:        make([]core.Record, len(l.records)),
+		Records:        make([]core.Record, 0, l.nrecords),
 		PostsByForum:   cloneForumMap(l.totals.PostsByForum),
 		ImagesByForum:  cloneForumMap(l.totals.ImagesByForum),
 		DecoysRejected: l.totals.DecoysRejected,
 		EmptyDropped:   l.totals.EmptyDropped,
 	}
-	copy(out.Records, l.records)
+	for _, b := range l.batches {
+		out.Records = append(out.Records, b...)
+	}
 	return out
 }
 
@@ -692,7 +724,7 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stats
-	st.Records = len(l.records)
+	st.Records = l.nrecords
 	st.Injects = len(l.injects)
 	st.LogBytes = l.size
 	return st

@@ -459,31 +459,46 @@ func TestCloseSnapshotsDirtyState(t *testing.T) {
 }
 
 // TestWriteSnapshotMatchesMarshal pins the streamed snapshot encoding to
-// json.Marshal byte for byte, with and without records and injects, and
+// json.Marshal byte for byte, with and without records and injects, with
+// the records split into batches every way (empty batches included), and
 // checks the byte count it reports.
 func TestWriteSnapshotMatchesMarshal(t *testing.T) {
+	recs := []core.Record{testRecord("a"), testRecord("b<&>"), testRecord("c")}
 	full := snapshot{
 		Seq:     7,
 		SavedAt: time.Date(2026, 8, 2, 9, 30, 0, 0, time.UTC),
 		Injects: []core.InjectSpec{{Seed: 3, Messages: 25, Forums: []string{"twitter"}}},
-		Records: []core.Record{testRecord("a"), testRecord("b<&>"), testRecord("c")},
 		Totals: totals{
 			PostsByForum:   map[corpus.Forum]int{corpus.ForumTwitter: 4},
 			DecoysRejected: 1,
 		},
 	}
-	for name, snap := range map[string]snapshot{
-		"full":       full,
-		"no injects": {Seq: 1, Records: full.Records[:1]},
-		"empty":      {Seq: 2, Records: []core.Record{}},
-		"nil":        {Seq: 3},
-	} {
-		want, err := json.Marshal(snap)
+	cases := map[string]struct {
+		snap    snapshot
+		batches [][]core.Record
+	}{
+		"full, one batch":      {full, [][]core.Record{recs}},
+		"full, split":          {full, [][]core.Record{recs[:1], {}, recs[1:]}},
+		"full, one per record": {full, [][]core.Record{recs[:1], recs[1:2], recs[2:], {}}},
+		"no injects":           {snapshot{Seq: 1}, [][]core.Record{recs[:1]}},
+		"empty":                {snapshot{Seq: 2}, [][]core.Record{}},
+		"empty batch":          {snapshot{Seq: 2}, [][]core.Record{{}}},
+		"nil":                  {snapshot{Seq: 3}, nil},
+	}
+	for name, tc := range cases {
+		flat := tc.snap
+		if tc.batches != nil {
+			flat.Records = []core.Record{}
+			for _, b := range tc.batches {
+				flat.Records = append(flat.Records, b...)
+			}
+		}
+		want, err := json.Marshal(flat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		n, err := writeSnapshot(&buf, snap)
+		n, err := writeSnapshot(&buf, tc.snap, tc.batches)
 		if err != nil {
 			t.Fatalf("%s: writeSnapshot: %v", name, err)
 		}

@@ -23,12 +23,17 @@ type Projection struct {
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	mu      sync.Mutex
-	ds      *core.Dataset
-	view    *QueryView
-	pending []time.Time // collectedAt of submitted-but-unmerged batches
-	batches int
-	closed  bool
+	mu sync.Mutex
+	// ds holds the merged curation bookkeeping with Records left nil: the
+	// records live in records, one submitted slice per batch, never copied
+	// or regrown (a durable daemon shares them with its record log).
+	ds       *core.Dataset
+	records  [][]core.Record
+	nrecords int
+	view     *QueryView
+	pending  []time.Time // collectedAt of submitted-but-unmerged batches
+	batches  int
+	closed   bool
 
 	backlog *telemetry.Gauge
 	applied *telemetry.Counter
@@ -78,7 +83,10 @@ func (p *Projection) merge(batch *core.Dataset) {
 	p.view.Add(batch.Records)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ds.Records = append(p.ds.Records, batch.Records...)
+	if len(batch.Records) > 0 {
+		p.records = append(p.records, batch.Records)
+		p.nrecords += len(batch.Records)
+	}
 	for f, n := range batch.PostsByForum {
 		p.ds.PostsByForum[f] += n
 	}
@@ -113,7 +121,9 @@ func (p *Projection) setBacklogLocked() {
 // Submit queues one round's processed batch for merging. collectedAt is
 // when the batch's reports were collected — the timestamp the backlog
 // gauge ages against. Submit blocks while the queue is full and fails on
-// ctx death or after Close.
+// ctx death or after Close. The projection takes ownership of
+// batch.Records: it keeps that slice as the batch's records, so the
+// caller may go on reading it but must never modify it.
 func (p *Projection) Submit(ctx context.Context, batch *core.Dataset, collectedAt time.Time) error {
 	if batch == nil {
 		return nil
@@ -182,13 +192,15 @@ func (p *Projection) Dataset() *core.Dataset {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := &core.Dataset{
-		Records:        make([]core.Record, len(p.ds.Records)),
+		Records:        make([]core.Record, 0, p.nrecords),
 		PostsByForum:   make(map[corpus.Forum]int, len(p.ds.PostsByForum)),
 		ImagesByForum:  make(map[corpus.Forum]int, len(p.ds.ImagesByForum)),
 		DecoysRejected: p.ds.DecoysRejected,
 		EmptyDropped:   p.ds.EmptyDropped,
 	}
-	copy(out.Records, p.ds.Records)
+	for _, b := range p.records {
+		out.Records = append(out.Records, b...)
+	}
 	for f, n := range p.ds.PostsByForum {
 		out.PostsByForum[f] = n
 	}
@@ -213,7 +225,7 @@ func (p *Projection) Stats() ProjectionStats {
 	st := ProjectionStats{
 		Batches: p.batches,
 		Pending: len(p.pending),
-		Records: len(p.ds.Records),
+		Records: p.nrecords,
 	}
 	if len(p.pending) > 0 {
 		st.BacklogSeconds = time.Since(p.pending[0]).Seconds()

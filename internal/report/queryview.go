@@ -29,6 +29,7 @@ import (
 type QueryView struct {
 	mu       sync.Mutex
 	recs     []queryRec
+	order    []int            // indexes into recs sorted by (posted_at, id, index)
 	byDomain map[string][]int // lowercased domain -> indexes into recs
 	bySender map[string][]int // lowercased sender -> indexes into recs
 
@@ -71,6 +72,7 @@ func NewQueryView() *QueryView {
 func (v *QueryView) Add(records []core.Record) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	base := len(v.recs)
 	for _, r := range records {
 		idx := len(v.recs)
 		qr := queryRec{
@@ -102,6 +104,48 @@ func (v *QueryView) Add(records []core.Record) {
 		}
 		v.members[v.findLocked(keys[0])]++
 	}
+	v.mergeOrderLocked(base)
+}
+
+// mergeOrderLocked sorts the indexes of the records added from base on
+// and merges them into order in place, from the back: a batch costs its
+// own sort plus one pass over order, and no query ever sorts the view.
+func (v *QueryView) mergeOrderLocked(base int) {
+	fresh := make([]int, len(v.recs)-base)
+	for j := range fresh {
+		fresh[j] = base + j
+	}
+	sort.Slice(fresh, func(a, b int) bool { return v.lessLocked(fresh[a], fresh[b]) })
+	i := len(v.order) - 1
+	v.order = append(v.order, fresh...)
+	for k, j := len(v.order)-1, len(fresh)-1; j >= 0; k-- {
+		if i >= 0 && v.lessLocked(fresh[j], v.order[i]) {
+			v.order[k] = v.order[i]
+			i--
+		} else {
+			v.order[k] = fresh[j]
+			j--
+		}
+	}
+}
+
+// lessLocked orders records by (posted_at, id), the /query/reports order,
+// with the insertion index breaking ties between duplicates.
+func (v *QueryView) lessLocked(a, b int) bool {
+	ra, rb := &v.recs[a], &v.recs[b]
+	if c := ra.PostedAt.Compare(rb.PostedAt); c != 0 {
+		return c < 0
+	}
+	if ra.ID != rb.ID {
+		return ra.ID < rb.ID
+	}
+	return a < b
+}
+
+// searchLocked returns the first position in order whose record satisfies
+// pred, which must be false then true along order (len(order) if never).
+func (v *QueryView) searchLocked(pred func(r *queryRec) bool) int {
+	return sort.Search(len(v.order), func(i int) bool { return pred(&v.recs[v.order[i]]) })
 }
 
 // noteLocked ensures a key exists in the union-find and folds the record
@@ -241,30 +285,87 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	// Narrow the candidate set with the most selective index available.
-	var candidates []int
-	switch {
-	case q.Domain != "":
-		candidates = v.byDomain[strings.ToLower(q.Domain)]
-	case q.Sender != "":
-		candidates = v.bySender[strings.ToLower(q.Sender)]
-	default:
-		candidates = make([]int, len(v.recs))
-		for i := range v.recs {
-			candidates[i] = i
-		}
+	var page []int
+	total := 0
+	if q.Domain == "" && q.Sender == "" {
+		page, total = v.scanOrderLocked(q, limit)
+	} else {
+		matched := v.matchIndexedLocked(q)
+		sort.Slice(matched, func(a, b int) bool { return v.lessLocked(matched[a], matched[b]) })
+		total = len(matched)
+		page = matched[:min(limit, total)]
 	}
+	res := ReportsResult{TotalMatched: total, Returned: len(page)}
+	if total > len(page) {
+		last := &v.recs[page[len(page)-1]]
+		res.NextCursor = Cursor{PostedAt: last.PostedAt, ID: last.ID}.Encode()
+	}
+	// Label only the page: labelling every match would make an unfiltered
+	// first page cost O(records) allocations.
+	res.Reports = make([]queryRec, len(page))
+	for j, i := range page {
+		res.Reports[j] = v.recs[i]
+		res.Reports[j].Campaign = v.campaignLocked(v.recs[i])
+	}
+	return res
+}
 
-	// Match on indexes and label only the page: copying and labelling
-	// every record would make an unfiltered first page cost O(records)
-	// allocations.
+// scanOrderLocked answers a query with no domain or sender filter from
+// the sorted order: since, until and the cursor bound a contiguous span by
+// binary search, so without a campaign filter the page is a subslice and
+// the match count a subtraction.
+func (v *QueryView) scanOrderLocked(q ReportsQuery, limit int) (page []int, total int) {
+	lo, hi := 0, len(v.order)
+	if !q.Since.IsZero() {
+		lo = v.searchLocked(func(r *queryRec) bool { return !r.PostedAt.Before(q.Since) })
+	}
+	if !q.After.IsZero() {
+		// Strictly after the cursor position in (posted_at, id) order — the
+		// record the cursor encodes is the last one already served.
+		lo = max(lo, v.searchLocked(func(r *queryRec) bool {
+			if c := r.PostedAt.Compare(q.After.PostedAt); c != 0 {
+				return c > 0
+			}
+			return r.ID > q.After.ID
+		}))
+	}
+	if !q.Until.IsZero() {
+		hi = v.searchLocked(func(r *queryRec) bool { return !r.PostedAt.Before(q.Until) })
+	}
+	if hi < lo {
+		hi = lo
+	}
+	span := v.order[lo:hi]
+	if q.Campaign == "" {
+		return span[:min(limit, len(span))], len(span)
+	}
+	for _, i := range span {
+		if v.campaignLocked(v.recs[i]) != q.Campaign {
+			continue
+		}
+		if total < limit {
+			page = append(page, i)
+		}
+		total++
+	}
+	return page, total
+}
+
+// matchIndexedLocked returns, unordered, the records a query with a
+// domain or sender filter matches, narrowed by that filter's index.
+func (v *QueryView) matchIndexedLocked(q ReportsQuery) []int {
+	domain, sender := strings.ToLower(q.Domain), strings.ToLower(q.Sender)
+	candidates := v.byDomain[domain]
+	if domain == "" {
+		candidates = v.bySender[sender]
+	}
 	var matched []int
 	for _, i := range candidates {
 		r := &v.recs[i]
-		if q.Domain != "" && r.Domain != strings.ToLower(q.Domain) {
+		if domain != "" && r.Domain != domain {
 			continue
 		}
-		if q.Sender != "" && r.Sender != strings.ToLower(q.Sender) {
+		if sender != "" && r.Sender != sender {
 			continue
 		}
 		if !q.Since.IsZero() && r.PostedAt.Before(q.Since) {
@@ -277,8 +378,6 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 			continue
 		}
 		if !q.After.IsZero() {
-			// Strictly after the cursor position in (posted_at, id) order —
-			// the record the cursor encodes is the last one already served.
 			if r.PostedAt.Before(q.After.PostedAt) {
 				continue
 			}
@@ -288,26 +387,7 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 		}
 		matched = append(matched, i)
 	}
-	sort.Slice(matched, func(a, b int) bool {
-		ra, rb := &v.recs[matched[a]], &v.recs[matched[b]]
-		if !ra.PostedAt.Equal(rb.PostedAt) {
-			return ra.PostedAt.Before(rb.PostedAt)
-		}
-		return ra.ID < rb.ID
-	})
-	res := ReportsResult{TotalMatched: len(matched)}
-	if len(matched) > limit {
-		matched = matched[:limit]
-		last := v.recs[matched[len(matched)-1]]
-		res.NextCursor = Cursor{PostedAt: last.PostedAt, ID: last.ID}.Encode()
-	}
-	res.Reports = make([]queryRec, len(matched))
-	for j, i := range matched {
-		res.Reports[j] = v.recs[i]
-		res.Reports[j].Campaign = v.campaignLocked(v.recs[i])
-	}
-	res.Returned = len(matched)
-	return res
+	return matched
 }
 
 // NameCount is one leaderboard row in the summary.
@@ -342,45 +422,95 @@ func (v *QueryView) Summarize(top int) Summary {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	s := Summary{
-		Records: len(v.recs),
-		Domains: len(v.byDomain),
-		Senders: len(v.bySender),
+		Records:   len(v.recs),
+		Domains:   len(v.byDomain),
+		Senders:   len(v.bySender),
+		Campaigns: len(v.members),
 	}
 	s.TopDomains = topOf(v.byDomain, top)
 	s.TopSenders = topOf(v.bySender, top)
-
-	camps := make(map[string]int, len(v.members))
+	// Every campaign root holds a distinct smallest record ID (a record's
+	// "r:" key lives under exactly one root), so ranking roots by minID
+	// ranks them by label, and only the returned rows need one built.
+	t := newTopRows(top, len(v.members))
 	for root, n := range v.members {
-		camps["c-"+v.minID[root]] = n
+		t.offer(v.minID[root], n)
 	}
-	s.Campaigns = len(camps)
-	s.TopCampaigns = topOfCounts(camps, top)
+	s.TopCampaigns = t.sorted()
+	for i := range s.TopCampaigns {
+		s.TopCampaigns[i].Name = "c-" + s.TopCampaigns[i].Name
+	}
 	return s
 }
 
 func topOf(index map[string][]int, top int) []NameCount {
-	counts := make(map[string]int, len(index))
+	t := newTopRows(top, len(index))
 	for name, idxs := range index {
-		counts[name] = len(idxs)
+		t.offer(name, len(idxs))
 	}
-	return topOfCounts(counts, top)
+	return t.sorted()
 }
 
-func topOfCounts(counts map[string]int, top int) []NameCount {
-	rows := make([]NameCount, 0, len(counts))
-	for name, n := range counts {
-		rows = append(rows, NameCount{Name: name, Count: n})
+// topRows selects the n best leaderboard rows (count descending, name
+// ascending) from a stream, in O(n) memory: a heap whose root is the worst
+// row kept, so a candidate costs one comparison unless it displaces it.
+type topRows struct {
+	n    int
+	rows []NameCount
+}
+
+func newTopRows(n, candidates int) *topRows {
+	return &topRows{n: n, rows: make([]NameCount, 0, min(n, candidates))}
+}
+
+// rowBefore reports whether a ranks ahead of b on the leaderboard.
+func rowBefore(a, b NameCount) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].Count != rows[b].Count {
-			return rows[a].Count > rows[b].Count
+	return a.Name < b.Name
+}
+
+func (t *topRows) offer(name string, count int) {
+	row := NameCount{Name: name, Count: count}
+	h := t.rows
+	if len(h) < t.n {
+		h = append(h, row)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !rowBefore(h[parent], h[i]) {
+				break
+			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
 		}
-		return rows[a].Name < rows[b].Name
-	})
-	if len(rows) > top {
-		rows = rows[:top]
+		t.rows = h
+		return
 	}
-	return rows
+	if !rowBefore(row, h[0]) {
+		return
+	}
+	h[0] = row
+	for i := 0; ; {
+		worst, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && rowBefore(h[worst], h[l]) {
+			worst = l
+		}
+		if r < len(h) && rowBefore(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// sorted returns the kept rows in leaderboard order.
+func (t *topRows) sorted() []NameCount {
+	sort.Slice(t.rows, func(a, b int) bool { return rowBefore(t.rows[a], t.rows[b]) })
+	return t.rows
 }
 
 // ReportsHandler serves GET /query/reports: parameters domain, sender,

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -452,6 +453,177 @@ func TestCursorCodec(t *testing.T) {
 	for _, bad := range []string{"", "%%%", "bm9wZQ"} {
 		if _, err := DecodeCursor(bad); err == nil {
 			t.Errorf("DecodeCursor(%q) accepted garbage", bad)
+		}
+	}
+}
+
+// fullSortReports is the reference /query/reports answer: filter every
+// candidate, sort all matches by (posted_at, id), label the page.
+func fullSortReports(v *QueryView, q ReportsQuery) ReportsResult {
+	limit := q.Limit
+	if limit <= 0 {
+		limit = DefaultQueryLimit
+	}
+	limit = min(limit, MaxQueryLimit)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var matched []int
+	for i := range v.recs {
+		r := &v.recs[i]
+		switch {
+		case q.Domain != "" && r.Domain != strings.ToLower(q.Domain),
+			q.Sender != "" && r.Sender != strings.ToLower(q.Sender),
+			!q.Since.IsZero() && r.PostedAt.Before(q.Since),
+			!q.Until.IsZero() && !r.PostedAt.Before(q.Until),
+			q.Campaign != "" && v.campaignLocked(*r) != q.Campaign,
+			!q.After.IsZero() && (r.PostedAt.Before(q.After.PostedAt) ||
+				r.PostedAt.Equal(q.After.PostedAt) && r.ID <= q.After.ID):
+			continue
+		}
+		matched = append(matched, i)
+	}
+	sort.Slice(matched, func(a, b int) bool {
+		ra, rb := &v.recs[matched[a]], &v.recs[matched[b]]
+		if !ra.PostedAt.Equal(rb.PostedAt) {
+			return ra.PostedAt.Before(rb.PostedAt)
+		}
+		return ra.ID < rb.ID
+	})
+	res := ReportsResult{TotalMatched: len(matched)}
+	if len(matched) > limit {
+		matched = matched[:limit]
+		last := v.recs[matched[len(matched)-1]]
+		res.NextCursor = Cursor{PostedAt: last.PostedAt, ID: last.ID}.Encode()
+	}
+	res.Reports = make([]queryRec, len(matched))
+	for j, i := range matched {
+		res.Reports[j] = v.recs[i]
+		res.Reports[j].Campaign = v.campaignLocked(v.recs[i])
+	}
+	res.Returned = len(matched)
+	return res
+}
+
+// fullSortSummary is the reference /query/summary answer: count every
+// leaderboard entry into a map, sort it whole, truncate.
+func fullSortSummary(v *QueryView, top int) Summary {
+	if top <= 0 {
+		top = DefaultSummaryTop
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	rank := func(counts map[string]int) []NameCount {
+		rows := make([]NameCount, 0, len(counts))
+		for name, n := range counts {
+			rows = append(rows, NameCount{Name: name, Count: n})
+		}
+		sort.Slice(rows, func(a, b int) bool {
+			if rows[a].Count != rows[b].Count {
+				return rows[a].Count > rows[b].Count
+			}
+			return rows[a].Name < rows[b].Name
+		})
+		return rows[:min(top, len(rows))]
+	}
+	lens := func(index map[string][]int) map[string]int {
+		out := map[string]int{}
+		for name, idxs := range index {
+			out[name] = len(idxs)
+		}
+		return out
+	}
+	camps := map[string]int{}
+	for root, n := range v.members {
+		camps["c-"+v.minID[root]] = n
+	}
+	return Summary{
+		Records:      len(v.recs),
+		Domains:      len(v.byDomain),
+		Senders:      len(v.bySender),
+		Campaigns:    len(camps),
+		TopDomains:   rank(lens(v.byDomain)),
+		TopSenders:   rank(lens(v.bySender)),
+		TopCampaigns: rank(camps),
+	}
+}
+
+// TestQueryViewMatchesFullSort compares Reports and Summarize byte for byte
+// with the full-sort reference over random views (random batch splits,
+// shared timestamps, mixed-case infrastructure) and random queries:
+// filters, campaigns, since/until bounds, cursors, limits and top sizes.
+func TestQueryViewMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	base := time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
+	at := func() time.Time { return base.Add(time.Duration(rng.Intn(60)) * time.Hour) }
+	for trial := 0; trial < 40; trial++ {
+		v := NewQueryView()
+		var all []core.Record
+		n := rng.Intn(300)
+		for len(all) < n {
+			var batch []core.Record
+			for size := rng.Intn(30); size > 0 && len(all)+len(batch) < n; size-- {
+				dom, snd := "", ""
+				if rng.Intn(4) > 0 {
+					dom = fmt.Sprintf("D%d.test", rng.Intn(40))
+					if rng.Intn(2) == 0 {
+						dom = strings.ToLower(dom)
+					}
+				}
+				if rng.Intn(3) > 0 {
+					snd = fmt.Sprintf("+1555%07d", rng.Intn(50))
+				}
+				id := fmt.Sprintf("t%d-%04d", trial, rng.Intn(1e4))
+				for _, r := range append(all, batch...) {
+					if r.ID == id {
+						id += "x" // IDs are unique, as the record log guarantees
+					}
+				}
+				batch = append(batch, queryRecord(id, dom, snd, at()))
+			}
+			v.Add(batch) // empty batches included
+			all = append(all, batch...)
+		}
+		campaigns := []string{"c-nope"}
+		for _, row := range fullSortSummary(v, len(all)+1).TopCampaigns {
+			campaigns = append(campaigns, row.Name)
+		}
+		for qn := 0; qn < 60; qn++ {
+			var q ReportsQuery
+			if len(all) > 0 && rng.Intn(4) == 0 {
+				q.Domain = strings.ToUpper(all[rng.Intn(len(all))].Domain)
+			}
+			if len(all) > 0 && rng.Intn(4) == 0 {
+				q.Sender = all[rng.Intn(len(all))].SenderRaw
+			}
+			if rng.Intn(3) == 0 {
+				q.Campaign = campaigns[rng.Intn(len(campaigns))]
+			}
+			if rng.Intn(3) == 0 {
+				q.Since = at()
+			}
+			if rng.Intn(3) == 0 {
+				q.Until = at()
+			}
+			switch {
+			case len(all) > 0 && rng.Intn(3) == 0:
+				r := all[rng.Intn(len(all))]
+				q.After = Cursor{PostedAt: r.PostedAt, ID: r.ID}
+			case rng.Intn(4) == 0:
+				q.After = Cursor{PostedAt: at(), ID: fmt.Sprintf("t%d-%04d", trial, rng.Intn(1e4))}
+			}
+			q.Limit = rng.Intn(len(all) + 3)
+			got, _ := json.Marshal(v.Reports(q))
+			want, _ := json.Marshal(fullSortReports(v, q))
+			if string(got) != string(want) {
+				t.Fatalf("trial %d: Reports(%+v)\n got %s\nwant %s", trial, q, got, want)
+			}
+		}
+		for _, top := range []int{0, 1, 2, 3, 7, rng.Intn(len(all) + 2), len(all) + 5} {
+			got, _ := json.Marshal(v.Summarize(top))
+			want, _ := json.Marshal(fullSortSummary(v, top))
+			if string(got) != string(want) {
+				t.Fatalf("trial %d: Summarize(%d)\n got %s\nwant %s", trial, top, got, want)
+			}
 		}
 	}
 }

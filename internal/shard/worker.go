@@ -19,6 +19,7 @@ import (
 	"github.com/smishkit/smishkit/internal/dnsdb"
 	"github.com/smishkit/smishkit/internal/enrichcache"
 	"github.com/smishkit/smishkit/internal/hlr"
+	"github.com/smishkit/smishkit/internal/netutil"
 	"github.com/smishkit/smishkit/internal/resilience"
 	"github.com/smishkit/smishkit/internal/shortener"
 	"github.com/smishkit/smishkit/internal/telemetry"
@@ -295,7 +296,7 @@ type RemoteEnricher struct {
 // NewRemoteEnricher returns a client for the worker at baseURL (as printed
 // by RunWorker), with DefaultWorkerTimeout per request.
 func NewRemoteEnricher(baseURL string) *RemoteEnricher {
-	return &RemoteEnricher{base: baseURL, hc: &http.Client{}, timeout: DefaultWorkerTimeout}
+	return &RemoteEnricher{base: baseURL, hc: netutil.NewHTTPClient(0), timeout: DefaultWorkerTimeout}
 }
 
 // WithTimeout sets the per-request deadline (0 restores the default) and
