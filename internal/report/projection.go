@@ -72,37 +72,51 @@ func NewProjection(reg *telemetry.Registry, queue int) *Projection {
 func (p *Projection) run() {
 	defer p.wg.Done()
 	for batch := range p.queue {
-		p.merge(batch.ds)
+		p.merge(batch.ds, true, batch.ds.Records)
 	}
 	close(p.done)
 }
 
-func (p *Projection) merge(batch *core.Dataset) {
+// merge folds one dataset's curation bookkeeping and its records, given
+// as batches the projection keeps as they are, in as one applied batch.
+// queued says it came through Submit and so holds a pending entry.
+func (p *Projection) merge(ds *core.Dataset, queued bool, records ...[]core.Record) {
 	// The query view has its own lock; feeding it outside p.mu keeps the
 	// two independent (Query readers never contend with Dataset readers).
-	p.view.Add(batch.Records)
+	p.view.Add(records...)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(batch.Records) > 0 {
-		p.records = append(p.records, batch.Records)
-		p.nrecords += len(batch.Records)
+	for _, b := range records {
+		if len(b) > 0 {
+			p.records = append(p.records, b)
+			p.nrecords += len(b)
+		}
 	}
-	for f, n := range batch.PostsByForum {
+	for f, n := range ds.PostsByForum {
 		p.ds.PostsByForum[f] += n
 	}
-	for f, n := range batch.ImagesByForum {
+	for f, n := range ds.ImagesByForum {
 		p.ds.ImagesByForum[f] += n
 	}
-	p.ds.DecoysRejected += batch.DecoysRejected
-	p.ds.EmptyDropped += batch.EmptyDropped
+	p.ds.DecoysRejected += ds.DecoysRejected
+	p.ds.EmptyDropped += ds.EmptyDropped
 	p.batches++
 	p.applied.Inc()
 	// The worker merges in submit order, so the oldest pending batch is
 	// always the head of the list.
-	if len(p.pending) > 0 {
+	if queued && len(p.pending) > 0 {
 		p.pending = p.pending[1:]
 	}
 	p.setBacklogLocked()
+}
+
+// Seed folds durable history into the projection, as one applied batch,
+// before the first Submit: ds carries the curation bookkeeping (its
+// Records are ignored) and batches the committed records. The projection
+// keeps each batch slice as it is, shared read-only with the record log
+// that owns it, so seeding copies no record.
+func (p *Projection) Seed(ds *core.Dataset, batches [][]core.Record) {
+	p.merge(ds, false, batches...)
 }
 
 // setBacklogLocked refreshes the backlog gauge from the pending list.

@@ -67,12 +67,21 @@ func NewQueryView() *QueryView {
 	}
 }
 
-// Add indexes a merged batch. Called by the projection worker with every
-// batch it folds into the dataset, under no external lock.
-func (v *QueryView) Add(records []core.Record) {
+// Add indexes the records of one or more merged batches, sorting them
+// into the serving order once. Called by the projection with every batch
+// it folds into the dataset, under no external lock.
+func (v *QueryView) Add(batches ...[]core.Record) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	base := len(v.recs)
+	for _, records := range batches {
+		v.addLocked(records)
+	}
+	v.mergeOrderLocked(base)
+}
+
+// addLocked indexes one batch of records without ordering them.
+func (v *QueryView) addLocked(records []core.Record) {
 	for _, r := range records {
 		idx := len(v.recs)
 		qr := queryRec{
@@ -104,7 +113,6 @@ func (v *QueryView) Add(records []core.Record) {
 		}
 		v.members[v.findLocked(keys[0])]++
 	}
-	v.mergeOrderLocked(base)
 }
 
 // mergeOrderLocked sorts the indexes of the records added from base on

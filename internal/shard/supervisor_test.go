@@ -108,7 +108,16 @@ func TestSupervisorRestartsDeadWorker(t *testing.T) {
 	go func() { defer close(runDone); sup.Run(ctx) }()
 
 	starter.kill(0, errors.New("worker crashed"))
-	waitFor(t, "worker 0 restart", func() bool { return sup.Restarts()[0] == 1 })
+	// Restarts() counts attempts and moves before the backoff and the
+	// start; the OnRestart call is what marks the restart as done.
+	waitFor(t, "worker 0 re-registration", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(reregs) > 0
+	})
+	if got := sup.Restarts()[0]; got != 1 {
+		t.Fatalf("worker 0 restarts = %d, want 1", got)
+	}
 	mu.Lock()
 	gotReregs, gotIdxs := len(reregs), append([]int(nil), reregIdxs...)
 	var newURL string

@@ -330,13 +330,12 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	// status endpoint binds, so /query/* and /status never report an empty
 	// dataset that durable history contradicts. The seed needs no
 	// enrichment: these records were enriched before the previous process
-	// died — that is the whole point of the log.
+	// died — that is the whole point of the log. The projection shares the
+	// log's batches rather than copying them, so each record is held once.
 	if s.rlog != nil {
-		seed := s.rlog.Dataset()
-		if len(seed.Records) > 0 || seed.DecoysRejected != 0 || seed.EmptyDropped != 0 {
-			if err := st.proj.Submit(ctx, seed, time.Now()); err != nil {
-				return nil, fmt.Errorf("smishkit: seed projection from record log: %w", err)
-			}
+		seed, batches := s.rlog.History()
+		if len(batches) > 0 || seed.DecoysRejected != 0 || seed.EmptyDropped != 0 {
+			st.proj.Seed(seed, batches)
 		}
 	}
 
@@ -538,13 +537,6 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	defer cancel()
 	if err := st.proj.Wait(drainCtx); err != nil {
 		return st.proj.Dataset(), fmt.Errorf("smishkit: drain projection: %w", err)
-	}
-	// A clean shutdown leaves a fresh snapshot, so the next open replays an
-	// empty tail instead of the whole log.
-	if s.rlog != nil {
-		if err := s.rlog.Snapshot(); err != nil {
-			return st.proj.Dataset(), fmt.Errorf("smishkit: final record-log snapshot: %w", err)
-		}
 	}
 	return st.proj.Dataset(), nil
 }

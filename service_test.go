@@ -342,11 +342,6 @@ func TestOptionsValidate(t *testing.T) {
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{},
 		}, "Durability.Dir"},
-		{"negative snapshot interval", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
-			Service:    &ServiceConfig{},
-			Durability: &DurabilityConfig{Dir: "/tmp/x", SnapshotInterval: -time.Second},
-		}, "SnapshotInterval"},
 		{"negative compact threshold", Options{
 			Pipeline:   PipelineOptions{Streaming: true},
 			Service:    &ServiceConfig{},

@@ -139,11 +139,11 @@ type (
 	EnrichmentError = core.EnrichmentError
 
 	// DurabilityConfig tunes the durable record log (Options.Durability):
-	// the data directory, the snapshot refresh interval, and the log size
-	// that triggers compaction. Only Dir is required.
+	// the data directory and the active-file size at which it is sealed
+	// into a segment. Only Dir is required.
 	DurabilityConfig = recordlog.Config
 	// DurabilityStats is the record log scoreboard: appends, replayed
-	// records, dedup hits, snapshots, compactions, and damage counters.
+	// records, dedup hits, segment seals and sizes, and damage counters.
 	DurabilityStats = recordlog.Stats
 
 	// ShardStats is the sharding scoreboard (Study.ShardStats,
@@ -237,11 +237,12 @@ type Options struct {
 	// Durability, when non-nil, makes the served dataset survive process
 	// death: every committed round's enriched records are appended to a
 	// CRC-framed log under DurabilityConfig.Dir (fsynced before the
-	// round's cursors commit), injected waves are journaled, and periodic
-	// snapshots plus size-triggered compaction bound restart cost to one
-	// snapshot + log tail. A restarted study replays the log into its
-	// projection instead of re-enriching history, and replays the inject
-	// journal into its fresh simulation so durable cursors stay resolvable.
+	// round's cursors commit), injected waves are journaled, and the log's
+	// active file is sealed into a segment once it passes CompactThreshold,
+	// so no committed record is ever rewritten. A restarted study replays
+	// the sealed segments and the active file into its projection instead
+	// of re-enriching history, and replays the inject journal into its
+	// fresh simulation so durable cursors stay resolvable.
 	// Requires Options.Service. Metrics land in the collector under
 	// "recordlog.*"; Study.Stats().Durability is the typed snapshot.
 	Durability *DurabilityConfig
@@ -371,9 +372,6 @@ func (o Options) Validate() error {
 		}
 		if d.Dir == "" {
 			return fmt.Errorf("smishkit: Durability.Dir must not be empty")
-		}
-		if d.SnapshotInterval < 0 {
-			return fmt.Errorf("smishkit: Durability.SnapshotInterval must not be negative (got %v; 0 selects the default)", d.SnapshotInterval)
 		}
 		if d.CompactThreshold < 0 {
 			return fmt.Errorf("smishkit: Durability.CompactThreshold must not be negative (got %d; 0 selects the default)", d.CompactThreshold)

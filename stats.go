@@ -32,8 +32,8 @@ type Stats struct {
 	// projection backlog, and per-forum cursors (nil until Serve runs).
 	Service *ServiceStats
 	// Durability is the record log scoreboard: appends, replayed records,
-	// dedup hits, snapshots, compactions, and damage counters (nil without
-	// Options.Durability).
+	// dedup hits, segment seals and sizes, and damage counters (nil
+	// without Options.Durability).
 	Durability *DurabilityStats
 	// Shards is the sharding scoreboard: routed totals and per-shard
 	// cache/batch/breaker stats (nil without Options.Shards). When present,
