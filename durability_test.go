@@ -98,7 +98,9 @@ func TestServeDurableRestart(t *testing.T) {
 			},
 		}
 		if durable {
-			o.Durability = &DurabilityConfig{Dir: filepath.Join(dataDir, "records")}
+			// A small threshold seals most rounds into segments, so the
+			// restart replays sealed segments, not only records.log.
+			o.Durability = &DurabilityConfig{Dir: filepath.Join(dataDir, "records"), CompactThreshold: 64 << 10}
 		}
 		return o
 	}
@@ -216,6 +218,9 @@ func TestServeDurableRestart(t *testing.T) {
 	}
 	if snap.Durability.Injects != 1 {
 		t.Errorf("Stats().Durability.Injects = %d, want 1", snap.Durability.Injects)
+	}
+	if snap.Durability.Segments < 2 {
+		t.Errorf("Stats().Durability.Segments = %d, want the restart to replay several", snap.Durability.Segments)
 	}
 }
 
